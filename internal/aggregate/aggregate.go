@@ -86,34 +86,45 @@ func (m *Msg) NumFbufs() int {
 	return len(m.fbufs)
 }
 
-// Read copies n=len(buf) bytes starting at off into buf, acting as domain
-// d. Unreachable segments (volatile absence-of-data) read as zeros.
-func (m *Msg) Read(d *domain.Domain, off int, buf []byte) error {
+// ReadPages visits the whole message in order, acting as domain d, handing
+// fn each page-sized run of bytes in place (see vm.AddrSpace.ReadPages).
+// Unreachable segments (volatile absence-of-data) read as the VM's zeroed
+// empty-leaf page. fn must not modify or retain the slice.
+func (m *Msg) ReadPages(d *domain.Domain, fn func(p []byte)) error {
+	return m.readPages(d, 0, m.length, fn)
+}
+
+// readPages visits bytes [off, off+n) of the message, translating only the
+// pages that range touches.
+func (m *Msg) readPages(d *domain.Domain, off, n int, fn func(p []byte)) error {
 	if m.consumed {
 		return ErrConsumed
 	}
-	if off < 0 || off+len(buf) > m.length {
-		return fmt.Errorf("%w: read [%d,%d) of %d", ErrRange, off, off+len(buf), m.length)
+	if off < 0 || n < 0 || off+n > m.length {
+		return fmt.Errorf("%w: read [%d,%d) of %d", ErrRange, off, off+n, m.length)
 	}
 	for _, s := range m.segs {
-		if len(buf) == 0 {
+		if n == 0 {
 			break
 		}
 		if off >= s.N {
 			off -= s.N
 			continue
 		}
-		n := s.N - off
-		if n > len(buf) {
-			n = len(buf)
-		}
-		if err := d.AS.Read(s.VA+vm.VA(off), buf[:n]); err != nil {
+		k := min(s.N-off, n)
+		if err := d.AS.ReadPages(s.VA+vm.VA(off), k, fn); err != nil {
 			return err
 		}
-		buf = buf[n:]
+		n -= k
 		off = 0
 	}
 	return nil
+}
+
+// Read copies n=len(buf) bytes starting at off into buf, acting as domain
+// d. Unreachable segments (volatile absence-of-data) read as zeros.
+func (m *Msg) Read(d *domain.Domain, off int, buf []byte) error {
+	return m.readPages(d, off, len(buf), func(p []byte) { buf = buf[copy(buf, p):] })
 }
 
 // ReadAll returns the full message contents.
@@ -231,19 +242,6 @@ func (m *Msg) Clone(d *domain.Domain) (*Msg, error) {
 	c.segs = append([]Seg(nil), m.segs...)
 	c.fbufs = append([]*core.Fbuf(nil), m.fbufs...)
 	return &c, nil
-}
-
-// uniqueFbufs deduplicates the fbufs behind a segment list.
-func uniqueFbufs(segs []Seg) []*core.Fbuf {
-	var out []*core.Fbuf
-	seen := map[*core.Fbuf]bool{}
-	for _, s := range segs {
-		if s.F != nil && !seen[s.F] {
-			seen[s.F] = true
-			out = append(out, s.F)
-		}
-	}
-	return out
 }
 
 func totalLen(segs []Seg) int {

@@ -1,8 +1,9 @@
 package aggregate
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"fbufs/internal/core"
 	"fbufs/internal/domain"
@@ -41,6 +42,8 @@ type Ctx struct {
 	batchBuf   []*core.Fbuf
 	preBuf     map[*core.Fbuf]int
 	seenBuf    map[*core.Fbuf]bool
+	nodeBuf    []*core.Fbuf // node fbufs one DAG construction wrote
+	leafBuf    []vm.VA
 
 	// Msg recycling (SetPooling): consumed message views return to this
 	// freelist and back fresh views, keeping slice capacity.
@@ -262,37 +265,49 @@ func (c *Ctx) sortedFbufs(m map[*core.Fbuf]int) []*core.Fbuf {
 	for f := range m {
 		fs = append(fs, f)
 	}
-	sort.Slice(fs, func(i, j int) bool { return fs[i].Base < fs[j].Base })
+	slices.SortFunc(fs, byBase)
 	c.sortBuf = fs
 	return fs
 }
 
+// byBase orders fbufs by region VA.
+func byBase(a, b *core.Fbuf) int { return cmp.Compare(a.Base, b.Base) }
+
 // NewData allocates fbufs for data, writes it, and returns the message.
-// Multi-fbuf messages allocate their buffers as one batch.
 func (c *Ctx) NewData(data []byte) (*Msg, error) {
+	return c.NewFilled(len(data), func(off int, p []byte) { copy(p, data[off:]) })
+}
+
+// NewFilled allocates an n-byte message and has fill write its contents in
+// place, page by page through the context domain's address space: fill
+// receives each run of frame storage with its byte offset in the message,
+// in order, and must fill all of it without retaining it. Multi-fbuf
+// messages allocate their buffers as one batch.
+func (c *Ctx) NewFilled(n int, fill func(off int, p []byte)) (*Msg, error) {
 	if o := c.Mgr.Sys.Obs; o != nil {
-		o.SpanBegin(span.StageAlloc, "aggregate", int(c.Dom.ID)+c.Mgr.Sys.TraceBase, int64(len(data)))
+		o.SpanBegin(span.StageAlloc, "aggregate", int(c.Dom.ID)+c.Mgr.Sys.TraceBase, int64(n))
 		defer o.SpanEnd()
 	}
 	cap := c.DataFbufBytes()
-	k := (len(data) + cap - 1) / cap
+	k := (n + cap - 1) / cap
 	bufs, err := c.allocDataBatch(k)
 	if err != nil {
 		return nil, err
 	}
 	var segs []Seg
 	pre := c.takePre()
-	for i, f := range bufs {
+	pos := 0
+	put := func(p []byte) {
+		fill(pos, p)
+		pos += len(p)
+	}
+	for _, f := range bufs {
 		pre[f] = 1
-		off := i * cap
-		n := len(data) - off
-		if n > cap {
-			n = cap
-		}
-		if err := f.Write(c.Dom, 0, data[off:off+n]); err != nil {
+		take := min(n-pos, cap)
+		if err := c.Dom.AS.WritePages(f.Base, take, put); err != nil {
 			return nil, err
 		}
-		segs = append(segs, Seg{F: f, VA: f.Base, N: n})
+		segs = append(segs, Seg{F: f, VA: f.Base, N: take})
 	}
 	return c.finish(pre, nil, segs)
 }
@@ -364,13 +379,15 @@ func (c *Ctx) Join(a, b *Msg) (*Msg, error) {
 	m.fbufs = c.uniqueFbufsInto(m.fbufs, m.segs)
 	if c.integrated {
 		// Keep referencing the operands' node fbufs: their DAGs are
-		// now our subtrees.
+		// now our subtrees. (Their data fbufs are already in the set, so
+		// appending the operands' whole sets adds exactly the node-only
+		// fbufs, in the operands' order.)
 		root, nodeFbufs, err := c.joinRoot(a.rootVA, b.rootVA, m.length)
 		if err != nil {
 			return nil, err
 		}
 		m.rootVA = root
-		m.fbufs = mergeFbufSets(m.fbufs, nodeFbufsOf(a), nodeFbufsOf(b), nodeFbufs)
+		m.fbufs = c.appendUnique(m.fbufs, a.fbufs, b.fbufs, nodeFbufs)
 	}
 	if err := c.rebalance(nil, []*Msg{a, b}, []*Msg{m}); err != nil {
 		return nil, err
@@ -467,18 +484,43 @@ func (c *Ctx) Pop(m *Msg, n int) ([]byte, *Msg, error) {
 	return hdr, rest, nil
 }
 
-// uniqueFbufsInto appends the deduplicated fbufs behind a segment list to
-// dst, using the Ctx's scratch seen-set instead of allocating one per call.
-func (c *Ctx) uniqueFbufsInto(dst []*core.Fbuf, segs []Seg) []*core.Fbuf {
+// takeSeen returns the Ctx's scratch seen-set (cleared), so deduplication
+// allocates no map per call.
+func (c *Ctx) takeSeen() map[*core.Fbuf]bool {
 	if c.seenBuf == nil {
 		c.seenBuf = map[*core.Fbuf]bool{}
 	} else {
 		clear(c.seenBuf)
 	}
+	return c.seenBuf
+}
+
+// uniqueFbufsInto appends the deduplicated fbufs behind a segment list to
+// dst.
+func (c *Ctx) uniqueFbufsInto(dst []*core.Fbuf, segs []Seg) []*core.Fbuf {
+	seen := c.takeSeen()
 	for _, s := range segs {
-		if s.F != nil && !c.seenBuf[s.F] {
-			c.seenBuf[s.F] = true
+		if s.F != nil && !seen[s.F] {
+			seen[s.F] = true
 			dst = append(dst, s.F)
+		}
+	}
+	return dst
+}
+
+// appendUnique appends to dst, which holds no duplicates, every fbuf of
+// sets it lacks, in first-seen order.
+func (c *Ctx) appendUnique(dst []*core.Fbuf, sets ...[]*core.Fbuf) []*core.Fbuf {
+	seen := c.takeSeen()
+	for _, f := range dst {
+		seen[f] = true
+	}
+	for _, set := range sets {
+		for _, f := range set {
+			if !seen[f] {
+				seen[f] = true
+				dst = append(dst, f)
+			}
 		}
 	}
 	return dst
@@ -499,7 +541,7 @@ func (c *Ctx) fromSegs(segs []Seg) (*Msg, error) {
 			return nil, err
 		}
 		m.rootVA = root
-		m.fbufs = mergeFbufSets(m.fbufs, nodeFbufs)
+		m.fbufs = c.appendUnique(m.fbufs, nodeFbufs)
 	}
 	if s := c.Mgr.Sanitizer(); s != nil {
 		if err := c.validateMsg(m); err != nil {
@@ -519,37 +561,4 @@ func (c *Ctx) finish(pre map[*core.Fbuf]int, inputs []*Msg, segs []Seg) (*Msg, e
 		return nil, err
 	}
 	return m, nil
-}
-
-// nodeFbufsOf extracts the fbufs in m's set that are not data fbufs — i.e.
-// node-only fbufs that must stay referenced when roots are reused.
-func nodeFbufsOf(m *Msg) []*core.Fbuf {
-	data := map[*core.Fbuf]bool{}
-	for _, s := range m.segs {
-		if s.F != nil {
-			data[s.F] = true
-		}
-	}
-	var out []*core.Fbuf
-	for _, f := range m.fbufs {
-		if !data[f] {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// mergeFbufSets unions fbuf lists preserving order and uniqueness.
-func mergeFbufSets(sets ...[]*core.Fbuf) []*core.Fbuf {
-	var out []*core.Fbuf
-	seen := map[*core.Fbuf]bool{}
-	for _, set := range sets {
-		for _, f := range set {
-			if !seen[f] {
-				seen[f] = true
-				out = append(out, f)
-			}
-		}
-	}
-	return out
 }

@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"fbufs/internal/core"
 	"fbufs/internal/domain"
@@ -98,9 +98,9 @@ func (c *Ctx) allocNode() (vm.VA, *core.Fbuf, error) {
 	return va, c.cur, nil
 }
 
-// writeNode encodes and stores one node, tracking the set of node fbufs the
-// current construction has touched.
-func (c *Ctx) writeNode(enc []byte, touched map[*core.Fbuf]bool) (vm.VA, error) {
+// writeNode encodes and stores one node, noting its node fbuf in the Ctx's
+// scratch list of fbufs the current construction has touched.
+func (c *Ctx) writeNode(enc []byte) (vm.VA, error) {
 	va, f, err := c.allocNode()
 	if err != nil {
 		return 0, err
@@ -108,28 +108,42 @@ func (c *Ctx) writeNode(enc []byte, touched map[*core.Fbuf]bool) (vm.VA, error) 
 	if err := f.Write(c.Dom, int(va-f.Base), enc); err != nil {
 		return 0, err
 	}
-	touched[f] = true
+	if n := len(c.nodeBuf); n == 0 || c.nodeBuf[n-1] != f {
+		c.nodeBuf = append(c.nodeBuf, f)
+	}
 	return va, nil
+}
+
+// touchedNodes returns the node fbufs written since the construction
+// began, ordered by region VA (the stable identity of an fbuf within one
+// manager): callers transfer the returned list, so any other order would
+// leak into the event stream and break byte-identical traces. The list is
+// the Ctx's scratch buffer: valid until the next construction.
+func (c *Ctx) touchedNodes() []*core.Fbuf {
+	slices.SortFunc(c.nodeBuf, byBase)
+	c.nodeBuf = slices.Compact(c.nodeBuf)
+	return c.nodeBuf
 }
 
 // buildRoot writes a right-leaning leaf/pair chain describing segs and
 // returns the root VA plus the node fbufs used.
 func (c *Ctx) buildRoot(segs []Seg, total int) (vm.VA, []*core.Fbuf, error) {
-	touched := map[*core.Fbuf]bool{}
+	c.nodeBuf = c.nodeBuf[:0]
 	var enc [nodeSize]byte
 	if len(segs) == 0 {
 		enc[0] = kindEmpty
-		root, err := c.writeNode(enc[:], touched)
+		root, err := c.writeNode(enc[:])
 		if err != nil {
 			return 0, nil, err
 		}
-		return root, setToList(touched), nil
+		return root, c.touchedNodes(), nil
 	}
 	// Leaves, then chain pairs right to left.
-	leaves := make([]vm.VA, len(segs))
+	leaves := slices.Grow(c.leafBuf[:0], len(segs))[:len(segs)]
+	c.leafBuf = leaves
 	for i, s := range segs {
 		encodeLeaf(enc[:], s.VA, s.N)
-		va, err := c.writeNode(enc[:], touched)
+		va, err := c.writeNode(enc[:])
 		if err != nil {
 			return 0, nil, err
 		}
@@ -140,39 +154,26 @@ func (c *Ctx) buildRoot(segs []Seg, total int) (vm.VA, []*core.Fbuf, error) {
 	for i := len(leaves) - 2; i >= 0; i-- {
 		rest += segs[i].N
 		encodePair(enc[:], leaves[i], root, rest)
-		va, err := c.writeNode(enc[:], touched)
+		va, err := c.writeNode(enc[:])
 		if err != nil {
 			return 0, nil, err
 		}
 		root = va
 	}
-	return root, setToList(touched), nil
+	return root, c.touchedNodes(), nil
 }
 
 // joinRoot writes the single pair node a Join needs, reusing both operand
 // DAGs as subtrees.
 func (c *Ctx) joinRoot(left, right vm.VA, total int) (vm.VA, []*core.Fbuf, error) {
-	touched := map[*core.Fbuf]bool{}
+	c.nodeBuf = c.nodeBuf[:0]
 	var enc [nodeSize]byte
 	encodePair(enc[:], left, right, total)
-	root, err := c.writeNode(enc[:], touched)
+	root, err := c.writeNode(enc[:])
 	if err != nil {
 		return 0, nil, err
 	}
-	return root, setToList(touched), nil
-}
-
-// setToList flattens a touched-node set ordered by region VA (the stable
-// identity of an fbuf within one manager): callers transfer the returned
-// list, so map-iteration order here would leak into the event stream and
-// break byte-identical traces.
-func setToList(set map[*core.Fbuf]bool) []*core.Fbuf {
-	out := make([]*core.Fbuf, 0, len(set))
-	for f := range set {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Base < out[j].Base })
-	return out
+	return root, c.touchedNodes(), nil
 }
 
 // Open reconstructs a message view from a DAG root, as a receiving domain

@@ -37,12 +37,16 @@ var errflowMethods = []struct {
 	{"core", "Fbuf", "TouchRead"},
 	{"core", "Fbuf", "DMAWrite"},
 	{"core", "Fbuf", "DMARead"},
+	{"aggregate", "Ctx", "NewData"},
+	{"aggregate", "Ctx", "NewFilled"},
 	{"aggregate", "Ctx", "Join"},
 	{"aggregate", "Ctx", "Split"},
 	{"aggregate", "Ctx", "ClipHead"},
 	{"aggregate", "Ctx", "ClipTail"},
 	{"aggregate", "Ctx", "Push"},
 	{"aggregate", "Ctx", "Pop"},
+	{"aggregate", "Msg", "Read"},
+	{"aggregate", "Msg", "ReadPages"},
 	{"aggregate", "Msg", "Transfer"},
 	{"aggregate", "Msg", "Secure"},
 	{"aggregate", "Reader", "Next"},
@@ -50,6 +54,8 @@ var errflowMethods = []struct {
 	{"vm", "AddrSpace", "AddRegion"},
 	{"vm", "AddrSpace", "Write"},
 	{"vm", "AddrSpace", "Read"},
+	{"vm", "AddrSpace", "WritePages"},
+	{"vm", "AddrSpace", "ReadPages"},
 	{"vm", "AddrSpace", "TouchWrite"},
 	{"vm", "AddrSpace", "TouchRead"},
 }

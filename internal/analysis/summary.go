@@ -168,8 +168,17 @@ func builtinSummary(fn *types.Func) *funcSummary {
 			return &funcSummary{effects: []sumEffect{{slot: -1, ev: EvFree, domSlot: 0}}}
 		case "Secure":
 			return &funcSummary{effects: []sumEffect{{slot: -1, ev: EvSecure, domSlot: -1}}}
-		case "Read", "ReadAll", "Touch":
+		case "Read", "ReadAll", "ReadPages", "Touch":
 			return &funcSummary{effects: []sumEffect{{slot: -1, ev: EvRead, domSlot: -1}}}
+		}
+	case recvTypeIs(fn, "aggregate", "Ctx"):
+		switch name {
+		case "NewData", "NewFilled":
+			// A fresh message over freshly allocated fbufs. Tracked
+			// like any other message view, with no discharge
+			// obligation: layers hand built messages to the layer
+			// below, which the analysis cannot follow.
+			return &funcSummary{fresh: []freshKind{fkAlias, fkNone}}
 		}
 	}
 	return nil

@@ -27,6 +27,26 @@ func aggregateAndVM(ctx *aggregate.Ctx, m *aggregate.Msg, as *vm.AddrSpace) {
 	as.Write(0, nil)     // want "error from AddrSpace.Write is implicitly discarded"
 }
 
+func payloadAccess(ctx *aggregate.Ctx, m *aggregate.Msg, as *vm.AddrSpace, d *core.Domain) {
+	ctx.NewFilled(8, nil)          // want "error from Ctx.NewFilled is implicitly discarded"
+	ctx.NewData(nil)               // want "error from Ctx.NewData is implicitly discarded"
+	m.ReadPages(d, nil)            // want "error from Msg.ReadPages is implicitly discarded"
+	go m.Read(d, 0, nil)           // want "error from Msg.Read is lost in a go statement"
+	as.ReadPages(0, 8, nil)        // want "error from AddrSpace.ReadPages is implicitly discarded"
+	defer as.WritePages(0, 8, nil) // want "error from AddrSpace.WritePages is lost in a defer statement"
+}
+
+func payloadAccessHandled(ctx *aggregate.Ctx, as *vm.AddrSpace, d *core.Domain) error {
+	m, err := ctx.NewFilled(8, func(off int, p []byte) {})
+	if err != nil {
+		return err
+	}
+	if err := as.WritePages(0, 8, func(p []byte) {}); err != nil {
+		return err
+	}
+	return m.ReadPages(d, func(p []byte) {})
+}
+
 func degradedPath(ad *xfer.Adaptive) {
 	// Hop degrades to the copy path on allocation failure internally; the
 	// error it *returns* is a real fault (dead domain, closed path) and

@@ -5,7 +5,10 @@
 // of a bug only the interprocedural analysis can see.
 package a
 
-import "core"
+import (
+	"aggregate"
+	"core"
+)
 
 // --- helpers the cases route ownership through ---------------------------
 
@@ -215,4 +218,32 @@ func handoffAfterTransfer(mgr *core.Manager, p *core.DataPath, from, to *core.Do
 	f, _ := p.Alloc()
 	send(mgr, f, from, to)
 	go fill(f, to) // transferred first: the handoff has a documented transfer point
+}
+
+// --- message payload access -----------------------------------------------
+
+// release drops a domain's references to a whole message.
+func release(m *aggregate.Msg, d *core.Domain) {
+	_ = m.Free(d)
+}
+
+func doubleReleaseAfterVerify(ctx *aggregate.Ctx, d *core.Domain) {
+	m, _ := ctx.NewFilled(64, func(off int, p []byte) {})
+	_ = m.ReadPages(d, func(p []byte) {}) // a read: tracking continues
+	release(m, d)
+	release(m, d) // want "fbuf freed twice in the same domain"
+}
+
+func doubleReleaseAfterRead(ctx *aggregate.Ctx, d *core.Domain) {
+	m, _ := ctx.NewData(nil)
+	_ = m.Read(d, 0, nil)
+	release(m, d)
+	release(m, d) // want "fbuf freed twice in the same domain"
+}
+
+func verifyThenRelease(ctx *aggregate.Ctx, d *core.Domain) {
+	m, _ := ctx.NewFilled(64, func(off int, p []byte) {})
+	_ = m.ReadPages(d, func(p []byte) {})
+	release(m, d)
+	_ = m.ReadPages(d, func(p []byte) {}) // reads stay legal after Free (cached mappings persist)
 }

@@ -326,9 +326,9 @@ var smpBurstConfigs = []string{"global-lock", "magazine", "depot"}
 
 // smpBurstRun is one burst configuration x worker-count measurement.
 type smpBurstRun struct {
-	opsPerSec   float64 // alloc/free pairs per simulated second
-	lockWaitUS  float64 // modelled wait on the shared path lock
-	depotWaitUS float64 // modelled wait on the depot lock
+	opsPerSec   float64              // alloc/free pairs per simulated second
+	lockWaitUS  float64              // modelled wait on the shared path lock
+	depotWaitUS float64              // modelled wait on the depot lock
 	shardWaits  [][]simtime.Duration // per-shard wait samples (depot only)
 	shardVisits []uint64
 	exchanges   uint64 // whole-unit depot exchanges across all workers
@@ -560,7 +560,7 @@ func smpBurstValues(seed int64, vals map[string]float64) ([]*Table, error) {
 			smpBurst, smpBurst, smpBurstRounds, smpUnitCap, smpDepotShards, seed),
 	}
 	heat := &Table{
-		Title:  "Depot shard contention heatmap (p99 modelled wait ns per shard)",
+		Title: "Depot shard contention heatmap (p99 modelled wait ns per shard)",
 		Header: append([]string{"workers"}, func() []string {
 			h := make([]string, smpDepotShards)
 			for i := range h {

@@ -167,8 +167,8 @@ func TestDepotEpochDirected(t *testing.T) {
 		// discharge everything, and re-allocate: the identity oracle proves
 		// the depot round-trip preserved the free-list contents.
 		"charge-spill-discharge": {
-			{Op: OpAllocBatch, A: 0, B: 2},       // pipe x3
-			{Op: OpAllocBatch, A: 0, B: 2},       // pipe x3
+			{Op: OpAllocBatch, A: 0, B: 2}, // pipe x3
+			{Op: OpAllocBatch, A: 0, B: 2}, // pipe x3
 			{Op: OpFreeBatch, A: 255, B: 255, C: 2},
 			{Op: OpFreeBatch, A: 0, B: 255, C: 2},
 			{Op: OpDepotExchange, A: 0, B: 0, C: 1}, // charge 2: unit stack
@@ -225,10 +225,10 @@ func TestExploreDepotEpoch(t *testing.T) {
 			{Op: OpEpochAdvance, A: 0},              // advance
 		},
 		{
-			{Op: OpAllocBatch, A: 0, B: 1},      // pipe x2
+			{Op: OpAllocBatch, A: 0, B: 1}, // pipe x2
 			{Op: OpFreeBatch, A: 255, B: 255, C: 1},
 			{Op: OpReclaim, A: 1},
-			{Op: OpCrash, A: 2},                 // C dies: pipe + lazy close
+			{Op: OpCrash, A: 2}, // C dies: pipe + lazy close
 		},
 	}
 	for _, sched := range enumSchedules(2, 4) {

@@ -198,6 +198,15 @@ type chunk struct {
 }
 
 // Stats counts facility activity for the experiment reports.
+//
+// Publish and read order. Every allocation bumps Allocs before the
+// matching CacheHits or CacheMisses increment (Alloc, AllocBatch,
+// AllocUncached, and Magazine.mergeCounters for deferred magazine
+// counts). Snapshot therefore loads CacheHits and CacheMisses before
+// Allocs: any hit or miss it sees was preceded by its Allocs bump, which
+// the later Allocs load also sees, so CacheHits+CacheMisses <= Allocs
+// holds in every snapshot, even mid-flight. Loading Allocs first would let
+// a snapshot see hits whose Allocs bump it read too early.
 type Stats struct {
 	Allocs          uint64
 	CacheHits       uint64
@@ -273,12 +282,17 @@ func (s Stats) Check() error {
 // consumer can drift a duplicate count). Every field is read with an
 // atomic load, so Snapshot is safe during concurrent operation; it is a
 // per-field snapshot, not a globally consistent cut — cross-counter
-// invariants (Stats.Check) are only meaningful at quiescence.
+// invariants (Stats.Check) are only meaningful at quiescence, apart from
+// CacheHits+CacheMisses <= Allocs, which the load order keeps.
 func (m *Manager) Snapshot() Stats {
+	// Hits and misses before Allocs: see the publish and read order on
+	// Stats.
+	hits := atomic.LoadUint64(&m.stats.CacheHits)
+	misses := atomic.LoadUint64(&m.stats.CacheMisses)
 	return Stats{
 		Allocs:           atomic.LoadUint64(&m.stats.Allocs),
-		CacheHits:        atomic.LoadUint64(&m.stats.CacheHits),
-		CacheMisses:      atomic.LoadUint64(&m.stats.CacheMisses),
+		CacheHits:        hits,
+		CacheMisses:      misses,
 		Transfers:        atomic.LoadUint64(&m.stats.Transfers),
 		MappingsBuilt:    atomic.LoadUint64(&m.stats.MappingsBuilt),
 		Secures:          atomic.LoadUint64(&m.stats.Secures),

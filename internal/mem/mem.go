@@ -24,13 +24,14 @@ type FrameNum int32
 // NoFrame is the sentinel for "no frame".
 const NoFrame FrameNum = -1
 
-// Frame is one physical page.
+// Frame is one physical page. The frame table holds one Frame per page of
+// simulated memory, so the struct is kept to 32 bytes.
 type Frame struct {
 	// Data is the page's storage; always machine.PageSize bytes.
 	Data []byte
 	// RefCount is the number of address-space mappings referencing the
 	// frame. A frame returns to the free list only when this drops to 0.
-	RefCount int
+	RefCount int32
 	// Zeroed records that the frame is known to contain only zero bytes,
 	// so a security clear can be skipped.
 	Zeroed bool
@@ -131,7 +132,7 @@ func (pm *PhysMem) Frame(fn FrameNum) *Frame {
 func (pm *PhysMem) RefCount(fn FrameNum) int {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	return pm.Frame(fn).RefCount
+	return int(pm.Frame(fn).RefCount)
 }
 
 // AddRef increments a frame's reference count (a new mapping shares it).

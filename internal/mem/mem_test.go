@@ -3,6 +3,7 @@ package mem
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"fbufs/internal/machine"
 )
@@ -173,5 +174,13 @@ func TestInvariantsUnderRandomOps(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 200}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestFrameTableEntrySize(t *testing.T) {
+	// One Frame per simulated page lives on the Go heap for the whole
+	// run; keep the entry at its 32-byte layout.
+	if got := unsafe.Sizeof(Frame{}); got != 32 {
+		t.Fatalf("Frame is %d bytes, want 32", got)
 	}
 }

@@ -178,19 +178,19 @@ func (d *Driver) Push(m *aggregate.Msg) error {
 		defer o.SpanEnd()
 	}
 	d.env.Sys.Sink().Charge(d.env.Sys.Cost.DriverPerPDU)
-	data := make([]byte, 0, m.Len())
+	// One copy per PDU: each segment is DMAed straight into its place in
+	// the PDU buffer.
+	data := make([]byte, m.Len())
+	off := 0
 	for _, s := range m.Segs() {
-		if s.F == nil {
-			// Absence of data (volatile dangling reference): wire
-			// carries zeros.
-			data = append(data, make([]byte, s.N)...)
-			continue
+		// A nil fbuf is absence of data (volatile dangling reference):
+		// the wire carries zeros.
+		if s.F != nil {
+			if err := s.F.DMARead(int(s.VA-s.F.Base), data[off:off+s.N]); err != nil {
+				return err
+			}
 		}
-		chunk := make([]byte, s.N)
-		if err := s.F.DMARead(int(s.VA-s.F.Base), chunk); err != nil {
-			return err
-		}
-		data = append(data, chunk...)
+		off += s.N
 	}
 	d.txq = append(d.txq, TxPDU{
 		VCI: d.TxVCI, Data: data, CPUOffset: d.CPUOffset(),

@@ -1,6 +1,7 @@
 package protocols
 
 import (
+	"bytes"
 	"fmt"
 
 	"fbufs/internal/aggregate"
@@ -48,6 +49,47 @@ func (t *TestProto) RingEligible() bool { return t.Rings }
 // message with the given sequence number.
 func Pattern(seq uint64, i int) byte { return byte(uint64(i)*167 + seq*13 + 5) }
 
+// patternPeriod is the period of Pattern in i: i*167 mod 256 depends only on
+// i mod 256 (and since 167 is odd, no shorter period exists).
+const patternPeriod = 256
+
+// patternTemplate holds Pattern(seq, i) for i in [0, 2*patternPeriod), so
+// the bytes for any run of up to patternPeriod positions starting at i are
+// the contiguous slice from i%patternPeriod. Filling and checking a payload
+// then moves whole runs instead of computing each byte.
+type patternTemplate [2 * patternPeriod]byte
+
+func newPatternTemplate(seq uint64) *patternTemplate {
+	var t patternTemplate
+	for i := range t {
+		t[i] = Pattern(seq, i)
+	}
+	return &t
+}
+
+// fill writes the pattern for message positions [off, off+len(p)) into p.
+func (t *patternTemplate) fill(off int, p []byte) {
+	for len(p) > 0 {
+		ph := off % patternPeriod
+		k := copy(p, t[ph:ph+patternPeriod])
+		p, off = p[k:], off+k
+	}
+}
+
+// match reports whether p holds the pattern for message positions
+// [off, off+len(p)).
+func (t *patternTemplate) match(off int, p []byte) bool {
+	for len(p) > 0 {
+		ph := off % patternPeriod
+		k := min(len(p), patternPeriod)
+		if !bytes.Equal(p[:k], t[ph:ph+k]) {
+			return false
+		}
+		p, off = p[k:], off+k
+	}
+	return true
+}
+
 // TraceLabel names the transfer class the endpoint's traces are filed
 // under in the profiler ("data" by default; the end-to-end harness labels
 // its ack endpoints "ack" so acknowledgement latency does not pollute the
@@ -59,15 +101,12 @@ func (t *TestProto) traceLabel() string {
 	return "data"
 }
 
-// Send builds an n-byte message and pushes it down the stack.
+// Send builds an n-byte message, writing the pattern for seq in place into
+// its fbufs, and pushes it down the stack.
 func (t *TestProto) Send(seq uint64, n int) error {
-	data := make([]byte, n)
-	for i := range data {
-		data[i] = Pattern(seq, i)
-	}
 	o := t.env.Sys.Obs
 	tid := o.BeginTrace(t.traceLabel(), int64(n))
-	m, err := t.ctx.NewData(data)
+	m, err := t.ctx.NewFilled(n, newPatternTemplate(seq).fill)
 	if err != nil {
 		o.AbortTrace(tid)
 		return err
@@ -110,15 +149,18 @@ func (t *TestProto) Deliver(m *aggregate.Msg) error {
 	tid := o.CurrentTrace()
 	n := m.Len()
 	if t.Verify {
-		data, err := m.ReadAll(t.Dom())
-		if err != nil {
+		// Check the payload in place, page by page; one bad message
+		// counts one failure however many bytes differ.
+		want := newPatternTemplate(t.ReceivedMsgs)
+		off, ok := 0, true
+		if err := m.ReadPages(t.Dom(), func(p []byte) {
+			ok = ok && want.match(off, p)
+			off += len(p)
+		}); err != nil {
 			return err
 		}
-		for i, b := range data {
-			if b != Pattern(uint64(t.ReceivedMsgs), i) {
-				t.VerifyFailures++
-				break
-			}
+		if !ok {
+			t.VerifyFailures++
 		}
 	} else {
 		if err := m.Touch(t.Dom()); err != nil {

@@ -611,43 +611,57 @@ func (as *AddrSpace) resolveCOW(va VA, pte PTE) error {
 	return nil
 }
 
-// Write stores data at va, splitting at page boundaries, enforcing
-// protections, and charging access costs.
-func (as *AddrSpace) Write(va VA, data []byte) error {
-	for len(data) > 0 {
+// WritePages is the one in-place write path: it translates each page of
+// [va, va+n) for writing exactly once — enforcing protections and charging
+// TLB-miss and fault costs, as any store would — and hands fill that page's
+// span of frame storage to fill in place. The frame is no longer known-zero.
+// fill must not retain the slice.
+func (as *AddrSpace) WritePages(va VA, n int, fill func(p []byte)) error {
+	for n > 0 {
 		fn, err := as.Translate(va, true)
 		if err != nil {
 			return err
 		}
 		off := va.PageOffset()
-		n := machine.PageSize - off
-		if n > len(data) {
-			n = len(data)
-		}
-		as.Sys.Mem.Write(fn, off, data[:n])
-		data = data[n:]
-		va += VA(n)
+		k := min(machine.PageSize-off, n)
+		f := as.Sys.Mem.Frame(fn)
+		fill(f.Data[off : off+k])
+		f.Zeroed = false
+		n -= k
+		va += VA(k)
 	}
 	return nil
 }
 
-// Read loads len(buf) bytes from va into buf, splitting at page boundaries.
-func (as *AddrSpace) Read(va VA, buf []byte) error {
-	for len(buf) > 0 {
-		fn, err := as.Translate(va, false)
+// ReadPages is the one in-place read path: it translates each page of
+// [va, va+n) for reading exactly once — protection checks, TLB-miss and
+// fault costs, and the volatile empty-leaf redirection all apply — and
+// hands fn that page's span of frame storage, in order. fn must not
+// modify or retain the slice.
+func (as *AddrSpace) ReadPages(va VA, n int, fn func(p []byte)) error {
+	for n > 0 {
+		fr, err := as.Translate(va, false)
 		if err != nil {
 			return err
 		}
 		off := va.PageOffset()
-		n := machine.PageSize - off
-		if n > len(buf) {
-			n = len(buf)
-		}
-		as.Sys.Mem.Read(fn, off, buf[:n])
-		buf = buf[n:]
-		va += VA(n)
+		k := min(machine.PageSize-off, n)
+		fn(as.Sys.Mem.Frame(fr).Data[off : off+k])
+		n -= k
+		va += VA(k)
 	}
 	return nil
+}
+
+// Write stores data at va, splitting at page boundaries, enforcing
+// protections, and charging access costs.
+func (as *AddrSpace) Write(va VA, data []byte) error {
+	return as.WritePages(va, len(data), func(p []byte) { data = data[copy(p, data):] })
+}
+
+// Read loads len(buf) bytes from va into buf, splitting at page boundaries.
+func (as *AddrSpace) Read(va VA, buf []byte) error {
+	return as.ReadPages(va, len(buf), func(p []byte) { buf = buf[copy(buf, p):] })
 }
 
 // TouchWrite writes one word at va (the test-protocol access pattern:
