@@ -12,8 +12,9 @@ import (
 // then/else blocks; loops get head/body/post blocks with back edges —
 // so a forward dataflow analysis sees exactly the orderings that can
 // happen at run time, including early returns, break/continue/goto, and
-// loop re-entry. This is what replaces fbufcheck's syntactic
-// "may-precede" order (util.go) for the interprocedural analyzer.
+// loop re-entry, which util.go's syntactic "may-precede" order cannot
+// (it treats a transfer before an early return as preceding the code
+// after the if).
 
 // CFGBlock is one basic block.
 type CFGBlock struct {

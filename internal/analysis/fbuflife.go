@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // FbufLife is the interprocedural lifecycle analyzer: a forward
@@ -12,14 +13,15 @@ import (
 // *core.Fbuf, []*core.Fbuf batches, *aggregate.Msg handles — through a
 // typestate automaton (typestate.go), using function summaries
 // (summary.go) to see through same-package helpers and the facility API.
-// It reports what the function-local, syntactic fbufcheck cannot:
-// interprocedural leaks (an fbuf that escapes a function with neither
-// Free/Transfer nor a stored reference), use-after-transfer and
-// double-free through helpers, element-wise batch ownership, and
-// ownership handoff into goroutines with no transfer point.
+// It reports leaks (an fbuf that escapes a function with neither
+// Free/Transfer nor a stored reference), writes after Transfer or Secure,
+// uses after Free and double frees, receiver reads of volatile fbufs
+// with no Secure or Secured() check since the Transfer — each also
+// through helpers — plus element-wise batch ownership and ownership
+// handoff into goroutines with no transfer point.
 var FbufLife = &Analyzer{
 	Name: "fbuflife",
-	Doc:  "interprocedural fbuf lifecycle typestate check: leaks, use after transfer/free through helpers, batch element ownership, goroutine handoff",
+	Doc:  "interprocedural fbuf lifecycle typestate check: leaks, use after transfer/free, double free, Secure before volatile reads, batch element ownership, goroutine handoff",
 	Run:  runFbufLife,
 }
 
@@ -64,30 +66,62 @@ type valInfo struct {
 	parent     int       // for vkElem: the batch value's id (-1 otherwise)
 	discharged bool      // Free/Transfer/escape seen anywhere (global)
 	paramSlot  int       // summary mode: slot this value entered as (-2 none)
+	constIdx   bool      // vkElem under a constant index (bufs[0])
+	// volOrigin is the originator's domain key when the value is
+	// statically known to come from a volatile path ("" otherwise).
+	volOrigin string
 }
 
 // freeRec tracks Free sites for one (value, domain-key) pair.
 type freeRec struct {
 	sites      map[token.Pos]bool // single/element-level Free sites
 	batchSites map[token.Pos]bool // whole-batch FreeBatch sites
-	credits    int                // DupRef grants
+	// constSites, on a batch, are frees of its constant-index elements:
+	// they conflict with a FreeBatch or an any-element free, never with a
+	// free of a different constant index.
+	constSites map[token.Pos]bool
+	credits    int // DupRef grants
+}
+
+// merge unions o's sites into r, reporting whether r changed. Credits
+// merge optimistically (max): a DupRef on either path licenses the extra
+// Free without a false positive.
+func (r *freeRec) merge(o *freeRec) bool {
+	changed := unionSites(&r.sites, o.sites)
+	changed = unionSites(&r.batchSites, o.batchSites) || changed
+	changed = unionSites(&r.constSites, o.constSites) || changed
+	if o.credits > r.credits {
+		r.credits = o.credits
+		changed = true
+	}
+	return changed
 }
 
 func (r *freeRec) clone() *freeRec {
-	n := &freeRec{credits: r.credits}
-	if len(r.sites) > 0 {
-		n.sites = make(map[token.Pos]bool, len(r.sites))
-		for k := range r.sites {
-			n.sites[k] = true
-		}
-	}
-	if len(r.batchSites) > 0 {
-		n.batchSites = make(map[token.Pos]bool, len(r.batchSites))
-		for k := range r.batchSites {
-			n.batchSites[k] = true
-		}
-	}
+	n := &freeRec{}
+	n.merge(r)
 	return n
+}
+
+// markSite adds p to *m, allocating the set on first use, and reports
+// whether p is new.
+func markSite(m *map[token.Pos]bool, p token.Pos) bool {
+	if (*m)[p] {
+		return false
+	}
+	if *m == nil {
+		*m = map[token.Pos]bool{}
+	}
+	(*m)[p] = true
+	return true
+}
+
+func unionSites(dst *map[token.Pos]bool, src map[token.Pos]bool) bool {
+	changed := false
+	for p := range src {
+		changed = markSite(dst, p) || changed
+	}
+	return changed
 }
 
 // lifeVal is one value's flow state at a program point.
@@ -163,30 +197,7 @@ func (f *lifeFact) merge(o *lifeFact) bool {
 				changed = true
 				continue
 			}
-			for p := range rec.sites {
-				if !fr.sites[p] {
-					if fr.sites == nil {
-						fr.sites = map[token.Pos]bool{}
-					}
-					fr.sites[p] = true
-					changed = true
-				}
-			}
-			for p := range rec.batchSites {
-				if !fr.batchSites[p] {
-					if fr.batchSites == nil {
-						fr.batchSites = map[token.Pos]bool{}
-					}
-					fr.batchSites[p] = true
-					changed = true
-				}
-			}
-			// Credits merge optimistically (max): a DupRef on either
-			// path licenses the extra Free without a false positive.
-			if rec.credits > fr.credits {
-				fr.credits = rec.credits
-				changed = true
-			}
+			changed = fr.merge(rec) || changed
 		}
 	}
 	return changed
@@ -219,6 +230,7 @@ type lifeEngine struct {
 	goLits     map[*ast.FuncLit]bool // funclits consumed by a go statement
 	paramSlots map[types.Object]int  // every param (fbuf or not) -> slot
 	body       *ast.BlockStmt        // the body under analysis (site ordering)
+	known      map[string]volatility // options/path volatility, scanned on first Alloc
 }
 
 func newLifeEngine(pass *Pass, sums map[*types.Func]*funcSummary, report bool) *lifeEngine {
@@ -254,7 +266,8 @@ func (e *lifeEngine) elemVal(b *valInfo, elemKey string) *valInfo {
 	if id, ok := e.elemVals[key]; ok {
 		return e.vals[id]
 	}
-	v := &valInfo{id: len(e.vals), kind: vkElem, pos: b.pos, parent: b.id, paramSlot: -2}
+	v := &valInfo{id: len(e.vals), kind: vkElem, pos: b.pos, parent: b.id, paramSlot: -2,
+		constIdx: strings.HasPrefix(elemKey, "lit:")}
 	e.vals = append(e.vals, v)
 	e.elemVals[key] = v.id
 	return v
@@ -908,6 +921,14 @@ func (e *lifeEngine) callResults(fact *lifeFact, call *ast.CallExpr, fn *types.F
 		sitePos := call.Pos() + token.Pos(i)
 		v := e.newVal(kind, sitePos, fk == fkOwned)
 		v.pos = call.Pos()
+		if i == 0 && fk == fkOwned {
+			if e.known == nil {
+				e.known = scanVolatility(e.info(), e.body)
+			}
+			if vol, ok := creationVolatility(e.info(), call, e.known); ok && vol.volatile {
+				v.volOrigin = vol.originator
+			}
+		}
 		fact.val[v.id] = &lifeVal{mask: LSAllocated}
 		out[i] = []int{v.id}
 	}
@@ -945,8 +966,12 @@ func (e *lifeEngine) applyEvent(fact *lifeFact, vals []int, ev LifeEvent,
 	for _, id := range vals {
 		v := e.vals[id]
 		st := state(fact, id)
-		next, viol := lifeNext(st.mask, ev)
-		if ev == EvFree && st.mask&LSTransferred != 0 {
+		vev := ev
+		if ev == EvRead && v.volOrigin != "" && domKey != "" && domKey != v.volOrigin {
+			vev = EvRecvRead
+		}
+		next, viol := lifeNext(st.mask, vev)
+		if ev == EvFree && st.mask&(LSTransferred|LSAcknowledged) != 0 {
 			// After a Transfer this domain's Free drops only its own
 			// reference — the receiver still holds the buffer live (copy
 			// semantics, paper §2.1.2) — so the value never becomes
@@ -1007,28 +1032,22 @@ func (e *lifeEngine) applyFree(fact *lifeFact, st *lifeVal, v *valInfo,
 
 	var viol *LifeViolation
 	var prev token.Pos
-	check := func(r *freeRec) {
-		if viol != nil || r == nil || domKey == "" {
-			return
-		}
-		for p := range r.sites {
-			if p != site && e.sitePrecedes(p, site) {
-				viol, prev = doubleFreeViolation(), p
-				return
-			}
-		}
-		for p := range r.batchSites {
-			if p != site && e.sitePrecedes(p, site) {
-				viol, prev = doubleFreeViolation(), p
-				return
+	check := func(sets ...map[token.Pos]bool) {
+		for _, set := range sets {
+			for p := range set {
+				// The latest preceding site, so the message is stable.
+				if domKey != "" && p != site && (viol == nil || p > prev) && e.sitePrecedes(p, site) {
+					viol, prev = doubleFreeViolation(), p
+				}
 			}
 		}
 	}
-	check(rec)
+	check(rec.sites, rec.batchSites, rec.constSites)
 
-	// Element/batch interplay: freeing an element consults the parent
-	// batch's whole-batch frees; freeing the batch consults element-level
-	// frees recorded on it.
+	// Element/batch interplay: freeing an element consults the frees
+	// recorded on its parent batch — whole-batch frees, any-element frees,
+	// and, unless it is itself a constant index, constant-index frees;
+	// freeing the batch consults every element-level free recorded on it.
 	var parentSt *lifeVal
 	var parentRec *freeRec
 	if v.kind == vkElem && v.parent >= 0 {
@@ -1041,7 +1060,10 @@ func (e *lifeEngine) applyFree(fact *lifeFact, st *lifeVal, v *valInfo,
 			parentRec = &freeRec{}
 			parentSt.freed[domKey] = parentRec
 		}
-		check(parentRec)
+		check(parentRec.sites, parentRec.batchSites)
+		if !v.constIdx {
+			check(parentRec.constSites)
+		}
 	}
 
 	if viol != nil && rec.credits > 0 {
@@ -1050,25 +1072,19 @@ func (e *lifeEngine) applyFree(fact *lifeFact, st *lifeVal, v *valInfo,
 	}
 
 	// Record the site.
-	target := rec
 	if level == levBatch {
-		if target.batchSites == nil {
-			target.batchSites = map[token.Pos]bool{}
-		}
-		target.batchSites[site] = true
+		markSite(&rec.batchSites, site)
 	} else {
-		if target.sites == nil {
-			target.sites = map[token.Pos]bool{}
-		}
-		target.sites[site] = true
+		markSite(&rec.sites, site)
 	}
 	if parentRec != nil {
 		// Element frees surface on the parent so a later FreeBatch (or a
 		// second element pass) sees them.
-		if parentRec.sites == nil {
-			parentRec.sites = map[token.Pos]bool{}
+		if v.constIdx {
+			markSite(&parentRec.constSites, site)
+		} else {
+			markSite(&parentRec.sites, site)
 		}
-		parentRec.sites[site] = true
 		e.discharge([]int{v.parent})
 		parentSt.mask |= LSFreed
 	}
@@ -1112,6 +1128,8 @@ func (e *lifeEngine) reportViolation(site token.Pos, viol *LifeViolation, ev Lif
 		msg = fmt.Sprintf("write to fbuf after Secure: protection was raised (rule %s, paper §%s)", viol.Rule, viol.Paper)
 	case "use-after-free":
 		msg = fmt.Sprintf("use of fbuf after Free (%s; rule %s, paper §%s)", ev, viol.Rule, viol.Paper)
+	case "unsecured-volatile-read":
+		msg = fmt.Sprintf("read of volatile fbuf by receiver without Secure: the originator can still write it; Secure it or check Secured() first (rule %s, paper §%s)", viol.Rule, viol.Paper)
 	default:
 		msg = fmt.Sprintf("fbuf lifecycle violation: %s on %s state (rule %s, paper §%s)", ev, viol.Name, viol.Rule, viol.Paper)
 	}
@@ -1142,15 +1160,11 @@ func (e *lifeEngine) discharge(vals []int) {
 	}
 }
 
-// escape discharges values whose reference outlives the local frame.
-func (e *lifeEngine) escape(fact *lifeFact, vals []int) {
-	e.discharge(vals)
-}
-
-// escapeRecorded is escape plus summary-effect recording (param escapes
-// matter to callers; plain local escapes do not).
+// escapeRecorded discharges values whose reference outlives the local
+// frame and records the escape as a summary effect (param escapes matter
+// to callers; plain local escapes do not).
 func (e *lifeEngine) escapeRecorded(fact *lifeFact, vals []int) {
-	e.escape(fact, vals)
+	e.discharge(vals)
 	e.recordParamEffects(vals, sumEffect{escape: true, domSlot: -1}, nil)
 }
 
@@ -1162,8 +1176,8 @@ func (e *lifeEngine) recordParamEffects(vals []int, eff sumEffect, domExpr ast.E
 	}
 	domSlot := -1
 	if domExpr != nil {
-		if obj := identObj(e.info(), domExpr); obj != nil {
-			domSlot = e.paramSlotOfObj(obj)
+		if slot, ok := e.paramSlots[identObj(e.info(), domExpr)]; ok {
+			domSlot = slot
 		}
 	}
 	for _, id := range vals {
@@ -1208,15 +1222,6 @@ func (e *lifeEngine) slotOf(id int) int {
 		return e.vals[v.parent].paramSlot
 	}
 	return -2
-}
-
-// paramSlotOfObj resolves an object to its parameter slot (-1 when it is
-// not a parameter of the function under analysis).
-func (e *lifeEngine) paramSlotOfObj(obj types.Object) int {
-	if slot, ok := e.paramSlots[obj]; ok {
-		return slot
-	}
-	return -1
 }
 
 // applyDefer applies a deferred call's effects with the exit-time

@@ -9,38 +9,6 @@ func TestFbufLife(t *testing.T) {
 	RunTest(t, "testdata/src", FbufLife, "fbuflife")
 }
 
-// TestFbufLifeBeyondFbufcheck is the separating witness the interprocedural
-// analysis exists for: the fbuflife corpus is full of lifecycle bugs
-// (leaks, use-after-transfer, double frees, goroutine handoffs — all
-// routed through helper functions), yet the function-local fbufcheck
-// reports nothing on it. Every `// want` in that corpus is therefore a
-// bug only fbuflife can see.
-func TestFbufLifeBeyondFbufcheck(t *testing.T) {
-	loader, err := NewLoader("", "testdata/src")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := loader.Load("fbuflife")
-	if err != nil {
-		t.Fatal(err)
-	}
-	check, err := RunAnalyzers(loader.Fset, p.Files, p.Pkg, p.Info, []*Analyzer{FbufCheck})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range check {
-		t.Errorf("fbufcheck unexpectedly fired on the fbuflife corpus: %s: %s",
-			loader.Fset.Position(d.Pos), d.Message)
-	}
-	life, err := RunAnalyzers(loader.Fset, p.Files, p.Pkg, p.Info, []*Analyzer{FbufLife})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(life) == 0 {
-		t.Fatal("fbuflife found nothing on its own corpus — the separating test is vacuous")
-	}
-}
-
 // TestDiagnosticDedupe pins the RunAnalyzers output contract the vettool
 // and SARIF writers rely on: diagnostics arrive position-sorted, the order
 // is independent of analyzer registration order, and two analyzers

@@ -157,8 +157,12 @@ func builtinSummary(fn *types.Func) *funcSummary {
 		switch name {
 		case "Write", "TouchWrite", "DMAWrite":
 			return &funcSummary{effects: []sumEffect{{slot: -1, ev: EvWrite, domSlot: -1}}}
-		case "Read", "TouchRead", "DMARead", "Secured":
+		case "Read", "TouchRead":
+			return &funcSummary{effects: []sumEffect{{slot: -1, ev: EvRead, domSlot: 0}}}
+		case "DMARead":
 			return &funcSummary{effects: []sumEffect{{slot: -1, ev: EvRead, domSlot: -1}}}
+		case "Secured":
+			return &funcSummary{effects: []sumEffect{{slot: -1, ev: EvAck, domSlot: -1}}}
 		}
 	case recvTypeIs(fn, "aggregate", "Msg"):
 		switch name {
@@ -182,6 +186,118 @@ func builtinSummary(fn *types.Func) *funcSummary {
 		}
 	}
 	return nil
+}
+
+// volatility is what a function body statically knows about an options
+// value or a data path: whether it is volatile and, for a path, the exprKey
+// of its originator (first) domain.
+type volatility struct {
+	volatile   bool
+	originator string
+}
+
+// scanVolatility resolves, flow-insensitively, the volatility of every
+// options and path variable assigned in body — opts := core.CachedVolatile(),
+// then path, _ := mgr.NewPath("p", opts, 4, prod, cons) — so an Alloc on
+// such a path knows its fbuf is volatile and who originated it.
+func scanVolatility(info *types.Info, body *ast.BlockStmt) map[string]volatility {
+	known := map[string]volatility{}
+	inspectShallow(body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok {
+			return true
+		}
+		// Pairwise, or the first result of a multi-value call.
+		for i, rhs := range as.Rhs {
+			key := exprKey(info, as.Lhs[i])
+			if key == "" {
+				continue
+			}
+			if v, ok := staticVolatility(info, rhs, known); ok {
+				known[key] = v
+			} else if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok {
+				if v, ok := creationVolatility(info, call, known); ok {
+					known[key] = v
+				}
+			}
+		}
+		return true
+	})
+	return known
+}
+
+// staticVolatility resolves an options expression: a call to a
+// CachedVolatile/Uncached-style constructor, an Options composite literal,
+// or an options variable already in known.
+func staticVolatility(info *types.Info, e ast.Expr, known map[string]volatility) (volatility, bool) {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.CallExpr:
+		switch calleeName(x) {
+		case "CachedVolatile", "Uncached":
+			return volatility{volatile: true}, true
+		case "CachedNonVolatile", "UncachedNonVolatile":
+			return volatility{}, true
+		}
+	case *ast.CompositeLit:
+		named := namedOf(info.TypeOf(x))
+		if named == nil || named.Obj().Name() != "Options" {
+			break
+		}
+		for _, el := range x.Elts {
+			kv, ok := el.(*ast.KeyValueExpr)
+			if !ok {
+				return volatility{}, false // positional: don't guess
+			}
+			if id, ok := kv.Key.(*ast.Ident); ok && id.Name == "Volatile" {
+				lit, ok := ast.Unparen(kv.Value).(*ast.Ident)
+				return volatility{volatile: ok && lit.Name == "true"}, ok
+			}
+		}
+		return volatility{}, true // Volatile omitted: zero value, non-volatile
+	case *ast.Ident:
+		v, ok := known[exprKey(info, x)]
+		return v, ok
+	}
+	return volatility{}, false
+}
+
+// calleeName returns the bare called name for idents and selectors. It is
+// syntactic so it also sees package-level function variables: the fbufs
+// facade re-exports the options constructors as vars.
+func calleeName(call *ast.CallExpr) string {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return fun.Name
+	case *ast.SelectorExpr:
+		return fun.Sel.Name
+	}
+	return ""
+}
+
+// creationVolatility resolves the volatility of what a NewPath, Alloc or
+// AllocUncached call creates, given the variables already in known.
+func creationVolatility(info *types.Info, call *ast.CallExpr, known map[string]volatility) (volatility, bool) {
+	fn := calleeFunc(info, call)
+	if fn == nil {
+		return volatility{}, false
+	}
+	switch {
+	case fn.Name() == "NewPath" && len(call.Args) >= 4 && !call.Ellipsis.IsValid() &&
+		(recvTypeIs(fn, "core", "Manager") || recvTypeIs(fn, "fbufs", "System")):
+		if v, ok := staticVolatility(info, call.Args[1], known); ok {
+			v.originator = exprKey(info, call.Args[3])
+			return v, true
+		}
+	case fn.Name() == "Alloc" && recvTypeIs(fn, "core", "DataPath"):
+		v, ok := known[exprKey(info, receiverOf(call))]
+		return v, ok
+	case fn.Name() == "AllocUncached" && recvTypeIs(fn, "core", "Manager") && len(call.Args) == 3:
+		if v, ok := staticVolatility(info, call.Args[2], known); ok {
+			v.originator = exprKey(info, call.Args[0])
+			return v, true
+		}
+	}
+	return volatility{}, false
 }
 
 // computeSummaries extracts contracts for every function declared in the

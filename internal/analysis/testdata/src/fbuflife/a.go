@@ -1,8 +1,8 @@
-// Package a is the fbuflife corpus: every violation here crosses a
-// function boundary (or a goroutine), so the function-local fbufcheck
-// stays silent on this entire package — TestFbufLifeBeyondFbufcheck
-// asserts exactly that, making each want below a machine-checked example
-// of a bug only the interprocedural analysis can see.
+// Package a is the fbuflife corpus. This file holds the interprocedural
+// cases: every violation crosses a function boundary (or a goroutine).
+// local.go and batch.go hold the function-local and batch-API cases. A
+// line with a `// want` must draw that diagnostic; a line without one
+// asserts silence.
 package a
 
 import (

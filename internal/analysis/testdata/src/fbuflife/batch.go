@@ -1,6 +1,6 @@
-// Batch-API corpus for fbufcheck (PR 4's AllocBatch/FreeBatch surface):
-// FreeBatch covers every element of its slice, AllocBatch resets them,
-// and concrete distinct elements never alias each other.
+// Batch-API cases: FreeBatch covers every element of its slice,
+// AllocBatch resets them, and distinct constant indices never alias each
+// other.
 package a
 
 import "core"
@@ -9,21 +9,21 @@ func doubleFreeBatch(mgr *core.Manager, p *core.DataPath, d *core.Domain) {
 	bufs := make([]*core.Fbuf, 2)
 	_, _ = p.AllocBatch(bufs)
 	_ = mgr.FreeBatch(bufs, d)
-	_ = mgr.FreeBatch(bufs, d) // want "double Free of fbuf by the same domain"
+	_ = mgr.FreeBatch(bufs, d) // want "fbuf freed twice in the same domain"
 }
 
 func freeBatchThenElement(mgr *core.Manager, p *core.DataPath, d *core.Domain) {
 	bufs := make([]*core.Fbuf, 2)
 	_, _ = p.AllocBatch(bufs)
 	_ = mgr.FreeBatch(bufs, d)
-	_ = mgr.Free(bufs[0], d) // want "double Free of fbuf by the same domain"
+	_ = mgr.Free(bufs[0], d) // want "fbuf freed twice in the same domain"
 }
 
 func elementThenFreeBatch(mgr *core.Manager, p *core.DataPath, d *core.Domain) {
 	bufs := make([]*core.Fbuf, 2)
 	_, _ = p.AllocBatch(bufs)
 	_ = mgr.Free(bufs[1], d)
-	_ = mgr.FreeBatch(bufs, d) // want "double Free of fbuf by the same domain"
+	_ = mgr.FreeBatch(bufs, d) // want "fbuf freed twice in the same domain"
 }
 
 func writeAfterTransferElement(mgr *core.Manager, p *core.DataPath, from, to *core.Domain) {
@@ -51,7 +51,7 @@ func sameIndexedElementFree(mgr *core.Manager, p *core.DataPath, d *core.Domain,
 	bufs := make([]*core.Fbuf, 2)
 	_, _ = p.AllocBatch(bufs)
 	_ = mgr.Free(bufs[i], d)
-	_ = mgr.Free(bufs[i], d) // want "double Free of fbuf by the same domain"
+	_ = mgr.Free(bufs[i], d) // want "fbuf freed twice in the same domain"
 }
 
 func allocBatchResets(mgr *core.Manager, p *core.DataPath, d *core.Domain) {
@@ -67,4 +67,21 @@ func freeBatchByEachDomain(mgr *core.Manager, p *core.DataPath, a, b *core.Domai
 	_, _ = p.AllocBatch(bufs)
 	_ = mgr.FreeBatch(bufs, a)
 	_ = mgr.FreeBatch(bufs, b) // each domain drops its own references
+}
+
+func constElementTwice(mgr *core.Manager, p *core.DataPath, d *core.Domain) {
+	bufs := make([]*core.Fbuf, 2)
+	_, _ = p.AllocBatch(bufs)
+	_ = mgr.Free(bufs[0], d)
+	_ = mgr.Free(bufs[1], d)
+	_ = mgr.Free(bufs[0], d) // want "fbuf freed twice in the same domain"
+}
+
+func constElementThenRange(mgr *core.Manager, p *core.DataPath, d *core.Domain) {
+	bufs := make([]*core.Fbuf, 2)
+	_, _ = p.AllocBatch(bufs)
+	_ = mgr.Free(bufs[0], d)
+	for _, f := range bufs {
+		_ = mgr.Free(f, d) // want "fbuf freed twice in the same domain"
+	}
 }

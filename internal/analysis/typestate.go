@@ -13,6 +13,14 @@ package analysis
 // reference and must still Free it, so Transferred is a live state from
 // which Free and further Transfers (multicast) are legal — only writes
 // are revoked (§2.1.2 immutability).
+//
+// Volatility is a property of the value, not a state: the engine knows
+// statically which fbufs come from a volatile path and which domain
+// originated them, and classifies a Read by any other domain as
+// EvRecvRead. Such a read is illegal while the fbuf is Transferred: the
+// originator still holds write permission, so the receiver must Secure
+// the fbuf, or acknowledge with a Secured() check that it trusts the
+// originator, before reading (§3.2.4).
 
 // LifeState is one typestate of a tracked fbuf value. States are bits so
 // the may-analysis can hold a set per value and the tables below can
@@ -20,11 +28,12 @@ package analysis
 type LifeState uint8
 
 const (
-	LSAllocated   LifeState = 1 << iota // allocated, not yet written
-	LSWritten                           // originator data written
-	LSTransferred                       // sent to another domain; immutable
-	LSSecured                           // protection raised by a receiver
-	LSFreed                             // reference dropped
+	LSAllocated    LifeState = 1 << iota // allocated, not yet written
+	LSWritten                            // originator data written
+	LSTransferred                        // sent to another domain; immutable
+	LSSecured                            // protection raised by a receiver
+	LSFreed                              // reference dropped
+	LSAcknowledged                       // transferred; a Secured() check acknowledged volatility
 )
 
 func (s LifeState) String() string {
@@ -39,6 +48,8 @@ func (s LifeState) String() string {
 		return "secured"
 	case LSFreed:
 		return "freed"
+	case LSAcknowledged:
+		return "acknowledged"
 	}
 	return "?"
 }
@@ -50,8 +61,10 @@ const (
 	EvAlloc LifeEvent = iota
 	EvWrite
 	EvRead
+	EvRecvRead // Read by a receiver of a statically volatile fbuf
 	EvTransfer
 	EvSecure
+	EvAck // Secured() check: the holder acknowledges volatility
 	EvFree
 	EvHandoff // value passed into a go statement
 )
@@ -64,10 +77,14 @@ func (e LifeEvent) String() string {
 		return "Write"
 	case EvRead:
 		return "Read"
+	case EvRecvRead:
+		return "receiver Read"
 	case EvTransfer:
 		return "Transfer"
 	case EvSecure:
 		return "Secure"
+	case EvAck:
+		return "Secured() check"
 	case EvFree:
 		return "Free"
 	case EvHandoff:
@@ -103,23 +120,29 @@ var LifecycleTransitions = []LifeTransition{
 	{LSAllocated | LSWritten, EvWrite, LSWritten, "write-originator-only", "2.1"},
 	{LSAllocated | LSWritten, EvTransfer, LSTransferred, "eager-secure-on-transfer", "2.1.3"},
 	// Copy semantics: the sender's reference stays live, so multicast
-	// re-transfer and transfer of a secured buffer are both legal.
-	{LSTransferred | LSSecured, EvTransfer, LSTransferred, "transfer-requires-live", "2.1.3"},
-	{LSAllocated | LSWritten | LSTransferred | LSSecured, EvSecure, LSSecured, "secure-raises-protection", "3.2.4"},
-	{LSAllocated | LSWritten | LSTransferred | LSSecured, EvFree, LSFreed, "free-requires-live", "3.2.1"},
+	// re-transfer and transfer of a secured buffer are both legal, and
+	// neither lowers protection nor revokes an acknowledgment.
+	{LSTransferred | LSSecured | LSAcknowledged, EvTransfer, 0, "transfer-requires-live", "2.1.3"},
+	{LSAllocated | LSWritten | LSTransferred | LSSecured | LSAcknowledged, EvSecure, LSSecured, "secure-raises-protection", "3.2.4"},
+	// A Secured() check after the Transfer licenses receiver reads; the
+	// buffer stays immutable (see the use-after-transfer violation).
+	{LSTransferred, EvAck, LSAcknowledged, "secure-volatile-before-read", "3.2.4"},
+	{LSAllocated | LSWritten | LSTransferred | LSSecured | LSAcknowledged, EvFree, LSFreed, "free-requires-live", "3.2.1"},
 	// Reads never change state; they are legal from every live state and,
 	// deliberately, from Freed too: cached mappings persist after Free
 	// (that's the point of caching), so a read-after-free is a data
 	// staleness hazard the dynamic sanitizer owns, not a protection fault
 	// the static checker can call a bug.
 	{^LifeState(0), EvRead, 0, "", ""},
+	{^LSTransferred, EvRecvRead, 0, "", ""},
 }
 
 // LifecycleViolations is the forbidden-edge table; any (state, event)
 // pair in neither table is unknown and the analyzer keeps the state
 // unchanged without reporting (may-analysis: stay silent when unsure).
 var LifecycleViolations = []LifeViolation{
-	{LSTransferred, EvWrite, "use-after-transfer", "immutable-after-transfer", "2.1.2"},
+	{LSTransferred | LSAcknowledged, EvWrite, "use-after-transfer", "immutable-after-transfer", "2.1.2"},
+	{LSTransferred, EvRecvRead, "unsecured-volatile-read", "secure-volatile-before-read", "3.2.4"},
 	{LSSecured, EvWrite, "write-after-secure", "secure-raises-protection", "3.2.4"},
 	{LSFreed, EvWrite, "use-after-free", "free-requires-live", "3.2.1"},
 	{LSFreed, EvTransfer, "use-after-free", "transfer-requires-live", "2.1.3"},

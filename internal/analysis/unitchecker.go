@@ -76,7 +76,7 @@ func VetMain() {
 	jsonOut := fs.Bool("json", false, "emit diagnostics as JSON")
 	sarifOut := fs.Bool("sarif", false, "emit diagnostics as SARIF 2.1.0 on stdout")
 
-	// Handshake 2: advertise flags so `go vet -fbufcheck=false` works.
+	// Handshake 2: advertise flags so `go vet -fbuflife=false` works.
 	for _, a := range args {
 		if a == "-flags" {
 			var out []vetFlag
