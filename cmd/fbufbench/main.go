@@ -26,8 +26,8 @@
 // for CI matrix fan-out, and -json/-baseline write and gate an
 // overload-only report the same way the audit pair does.
 // -exp smp prints the deterministic simulated-SMP scaling tables — the
-// cycle sweep, the 8/16/64-worker burst sweep (global lock vs magazine vs
-// depot), and the per-shard depot contention heatmap; -seed N perturbs
+// cycle sweep, the 8/16/64-worker burst sweep (global lock vs magazines
+// over a depot), and the per-shard depot contention heatmap; -seed N perturbs
 // the burst harness's shard placement for the determinism matrix, and
 // -json/-baseline write and gate an smp-only report (heatmap p99s)
 // against BENCH_smp_baseline.json like the other gates. -parallel N

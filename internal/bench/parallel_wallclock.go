@@ -37,18 +37,21 @@ func ParallelWallClock(workers, opsPerWorker int) (*Table, error) {
 		Header: []string{"config", "kops/s", "lock acquires", "lock contended", "mag hits", "mag misses"},
 		Note:   "machine-dependent; not part of BENCH_report.json (see the simulated smp_scaling experiment)",
 	}
-	for _, cfg := range smpConfigs {
-		run, err := wallClockRun(workers, opsPerWorker, cfg.magazines)
+	for _, cfg := range []struct {
+		name      string
+		magazines bool
+	}{{"global-lock", false}, {"magazine", true}} {
+		opsPerSec, cont, err := wallClockRun(workers, opsPerWorker, cfg.magazines)
 		if err != nil {
 			return nil, err
 		}
 		t.Rows = append(t.Rows, []string{
 			cfg.name,
-			fmt.Sprintf("%.0f", run.opsPerSec/1e3),
-			fmt.Sprintf("%d", run.cont.LockAcquires),
-			fmt.Sprintf("%d", run.cont.LockContended),
-			fmt.Sprintf("%d", run.cont.MagazineHits),
-			fmt.Sprintf("%d", run.cont.MagazineMisses),
+			fmt.Sprintf("%.0f", opsPerSec/1e3),
+			fmt.Sprintf("%d", cont.LockAcquires),
+			fmt.Sprintf("%d", cont.LockContended),
+			fmt.Sprintf("%d", cont.MagazineHits),
+			fmt.Sprintf("%d", cont.MagazineMisses),
 		})
 	}
 	return t, nil
@@ -57,7 +60,7 @@ func ParallelWallClock(workers, opsPerWorker int) (*Table, error) {
 // wallClockRun measures one configuration with real goroutines. All system
 // costs charge a single shared atomic clock; only the wall time and the
 // contention counters are reported.
-func wallClockRun(workers, opsPerWorker int, magazines bool) (*smpRun, error) {
+func wallClockRun(workers, opsPerWorker int, magazines bool) (float64, core.Contention, error) {
 	clk := &simtime.Clock{}
 	sys := vm.NewSystem(machine.DecStation5000(), 1<<15, vm.ClockSink{Clock: clk})
 	reg := domain.NewRegistry(sys)
@@ -67,7 +70,7 @@ func wallClockRun(workers, opsPerWorker int, magazines bool) (*smpRun, error) {
 	dst := reg.New("dst")
 	path, err := mgr.NewPath("smp-wall", core.CachedVolatile(), 1, src, dst)
 	if err != nil {
-		return nil, err
+		return 0, core.Contention{}, err
 	}
 
 	errs := make([]error, workers)
@@ -110,14 +113,11 @@ func wallClockRun(workers, opsPerWorker int, magazines bool) (*smpRun, error) {
 	elapsed := time.Since(start)
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return 0, core.Contention{}, err
 		}
 	}
 	if elapsed <= 0 {
 		elapsed = time.Nanosecond
 	}
-	return &smpRun{
-		opsPerSec: float64(workers*opsPerWorker) / elapsed.Seconds(),
-		cont:      mgr.ContentionSnapshot(),
-	}, nil
+	return float64(workers*opsPerWorker) / elapsed.Seconds(), mgr.ContentionSnapshot(), nil
 }

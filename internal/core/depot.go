@@ -16,10 +16,8 @@ import (
 // so a burst imbalance between producers and consumers degrades to sharded
 // (not global) contention.
 //
-// A depot is optional per-path state: paths without one (the default) keep
-// the PR 4 item-at-a-time magazine behavior bit-identical. Install one with
-// EnableDepot before workers start; magazines created afterwards exchange
-// with it automatically.
+// Every magazine fronts its path's depot: NewMagazine installs one on first
+// use, and EnableDepot installs one with explicit geometry.
 //
 // Lock ranks (DESIGN.md §10): Depot.mu orders after every data-plane lock
 // and before the shard leaves — a unit swap may assemble or spill through
@@ -49,8 +47,8 @@ type depotShard struct {
 	contended uint64
 }
 
-// DefaultDepotShards is the shard count used when EnableDepot is given a
-// non-positive one.
+// DefaultDepotShards is the shard count of a depot installed by NewMagazine,
+// and of one EnableDepot is given a non-positive shard count for.
 const DefaultDepotShards = 8
 
 // defaultDepotMaxFull bounds the unit stack; surplus full units spill into
@@ -59,11 +57,12 @@ const defaultDepotMaxFull = 16
 
 // EnableDepot installs a magazine depot on the path with the given unit size
 // (fbufs per magazine, DefaultMagazineCap if non-positive) and shard count
-// (DefaultDepotShards if non-positive). Control-plane: call before workers
-// start, like NewPath. Idempotent — a second call returns the existing depot.
+// (DefaultDepotShards if non-positive). Idempotent — once a depot is
+// installed every call returns it — and safe to race with NewMagazine,
+// which installs through it with the magazine's capacity as the unit.
 func (p *DataPath) EnableDepot(unit, shards int) *Depot {
-	if p.depot != nil {
-		return p.depot
+	if d := p.depot.Load(); d != nil {
+		return d
 	}
 	if unit <= 0 {
 		unit = DefaultMagazineCap
@@ -75,12 +74,15 @@ func (p *DataPath) EnableDepot(unit, shards int) *Depot {
 	for i := 0; i < shards; i++ {
 		d.shards = append(d.shards, &depotShard{})
 	}
-	p.depot = d
+	if !p.depot.CompareAndSwap(nil, d) {
+		return p.depot.Load()
+	}
 	return d
 }
 
-// Depot returns the path's magazine depot, nil when none is installed.
-func (p *DataPath) Depot() *Depot { return p.depot }
+// Depot returns the path's magazine depot, nil until the first EnableDepot
+// or NewMagazine.
+func (p *DataPath) Depot() *Depot { return p.depot.Load() }
 
 // SetMaxFull overrides the unit-stack bound (defaultDepotMaxFull). Control-
 // plane: call right after EnableDepot, before workers start. The conformance
@@ -264,7 +266,7 @@ func (d *Depot) close() []*Fbuf {
 // into the depot as one unit (the conformance model drives the depot through
 // this and DepotDischarge). It returns the number moved.
 func (p *DataPath) DepotCharge(n int) int {
-	d := p.depot
+	d := p.depot.Load()
 	if d == nil || n <= 0 {
 		return 0
 	}
@@ -292,7 +294,7 @@ func (p *DataPath) DepotCharge(n int) int {
 // inventory is torn down instead (the depot is already closed then, so drain
 // returns nothing and the count is 0).
 func (p *DataPath) DepotDischarge() int {
-	d := p.depot
+	d := p.depot.Load()
 	if d == nil {
 		return 0
 	}

@@ -160,7 +160,7 @@ func (m *Manager) CheckInvariants() error {
 			}
 		}
 		inventory := 0
-		if d := p.depot; d != nil {
+		if d := p.depot.Load(); d != nil {
 			inv := d.snapshotInventory()
 			inventory = len(inv)
 			for _, f := range inv {

@@ -11,13 +11,14 @@ import (
 // non-positive capacity.
 const DefaultMagazineCap = 16
 
-// Magazine is a per-worker LIFO cache of free fbufs layered over a path's
-// shared free list, in the style of Bonwick's slab-magazine allocator. Each
-// worker owns one magazine per path it allocates from; steady-state
-// Alloc/Free cycles are served from the private stash and touch no shared
-// lock at all. The stash refills from — and flushes back to — the path free
-// list in batches of up to half the capacity, so the shared lock is paid
-// once per batch instead of once per buffer.
+// Magazine is a per-worker LIFO cache of free fbufs, the top level of the
+// Bonwick allocator ladder: worker magazine → path depot → path free list /
+// chunk carve. Each worker owns one magazine per path it allocates from;
+// steady-state Alloc/Free cycles are served from the private stash and touch
+// no shared lock at all. Every magazine fronts its path's Depot (NewMagazine
+// installs one on first use): a worker trades whole units with it, and only
+// when the depot is dry too does the stash refill from the shared free list
+// in one batch under the path lock.
 //
 // A magazine belongs to one worker: its methods are not safe for concurrent
 // use on the same magazine (distinct magazines over one path are). It sits
@@ -28,24 +29,24 @@ const DefaultMagazineCap = 16
 // path closes, or the stashed fbufs stay invisible to the shared list.
 type Magazine struct {
 	path  *DataPath
+	depot *Depot
 	cap   int
 	stash []*Fbuf
 
-	// prev is the Bonwick second magazine, used only when the path has a
-	// depot: a worker holds a loaded magazine (stash) and a previous one,
-	// swapping them locally when one runs dry or full so a strict
-	// alloc/free alternation at a magazine boundary never touches the
-	// depot. Only when both are empty (or both full) does the worker
-	// exchange a whole unit with the depot — one constant-time swap under
-	// the depot's leaf lock instead of an item-at-a-time refill.
+	// prev is the Bonwick second magazine: a worker holds a loaded
+	// magazine (stash) and a previous one, swapping them locally when one
+	// runs dry or full so a strict alloc/free alternation at a magazine
+	// boundary never touches the depot. Only when both are empty (or both
+	// full) does the worker exchange a whole unit with the depot — one
+	// constant-time swap under the depot's leaf lock.
 	prev []*Fbuf
 
 	// Local counters, merged into the shared Stats/Contention groups on
-	// refill, flush, exchange, and Drain — the deferral is what keeps the
-	// hit path free of shared-cacheline traffic. Hit-served allocations
-	// count as Allocs+CacheHits and stash frees as Frees+Recycles, so the
-	// global invariants (Stats.Check) hold at quiescence once the magazine
-	// is drained.
+	// refill, exchange, and Drain — the deferral is what keeps the hit
+	// path free of shared-cacheline traffic. Hit-served allocations count
+	// as Allocs+CacheHits and stash frees as Frees+Recycles, so the global
+	// invariants (Stats.Check) hold at quiescence once the magazine is
+	// drained.
 	hits, misses, refills, flushes uint64
 	allocs, frees, recycles        uint64
 
@@ -57,12 +58,19 @@ type Magazine struct {
 }
 
 // NewMagazine creates a magazine over the path with the given stash
-// capacity (DefaultMagazineCap if non-positive).
+// capacity (DefaultMagazineCap if non-positive). The first magazine of a
+// path installs the path's depot with that capacity as its unit size and
+// DefaultDepotShards shards, unless EnableDepot installed one already.
 func (p *DataPath) NewMagazine(capacity int) *Magazine {
 	if capacity <= 0 {
 		capacity = DefaultMagazineCap
 	}
-	return &Magazine{path: p, cap: capacity, stash: make([]*Fbuf, 0, capacity)}
+	return &Magazine{
+		path:  p,
+		depot: p.EnableDepot(capacity, DefaultDepotShards),
+		cap:   capacity,
+		stash: make([]*Fbuf, 0, capacity),
+	}
 }
 
 // Path returns the data path the magazine allocates from.
@@ -72,7 +80,7 @@ func (g *Magazine) Path() *DataPath { return g.path }
 func (g *Magazine) Depth() int { return len(g.stash) + len(g.prev) }
 
 // ExchangeCount returns the lifetime number of depot unit exchanges this
-// magazine performed (0 on a path without a depot).
+// magazine performed.
 func (g *Magazine) ExchangeCount() uint64 { return g.exchTotal }
 
 // LocalStats returns the magazine's unflushed local counters
@@ -82,22 +90,27 @@ func (g *Magazine) LocalStats() (hits, misses, refills, flushes uint64) {
 	return g.hits, g.misses, g.refills, g.flushes
 }
 
-// popStash pops the hot end of the loaded stash; the caller guarantees it
-// is non-empty and accounts the hit/miss itself.
-func (g *Magazine) popStash() *Fbuf {
+// take pops the hot end of the loaded stash, which the caller guarantees
+// is non-empty, and hands the fbuf to the path's originator.
+func (g *Magazine) take() *Fbuf {
 	n := len(g.stash)
 	f := g.stash[n-1]
 	g.stash[n-1] = nil
 	g.stash = g.stash[:n-1]
+	g.allocs++
+	if s := g.path.mgr.san; s != nil {
+		s.verifyReuse(f)
+	}
+	f.resetLive(g.path.Originator())
 	return f
 }
 
 // Alloc allocates an fbuf for the path's originator. The fast path pops the
 // private stash with zero shared-lock traffic (swapping in the previous
-// magazine when the loaded one runs dry — still local). On a true miss a
-// depot-backed path exchanges an empty magazine for a full unit under one
-// leaf-lock swap; otherwise the stash refills item-at-a-time from the
-// shared free list under one lock acquisition, and if the shared list is
+// magazine when the loaded one runs dry — still local). On a true miss the
+// magazine exchanges its empty stash for a full depot unit under one
+// leaf-lock swap; if the depot is dry the stash refills from the hot tail
+// of the shared free list under one lock acquisition, and if that list is
 // empty too the call falls through to the path's full Alloc (carve, fault
 // plane, events — the kernel boundary).
 func (g *Magazine) Alloc() (*Fbuf, error) {
@@ -108,61 +121,35 @@ func (g *Magazine) Alloc() (*Fbuf, error) {
 		g.stash, g.prev = g.prev, g.stash
 	}
 	if len(g.stash) > 0 {
-		f := g.popStash()
 		g.hits++
-		g.allocs++
-		if s := p.mgr.san; s != nil {
-			s.verifyReuse(f)
-		}
-		f.resetLive(p.Originator())
-		return f, nil
+		return g.take(), nil
 	}
 	g.misses++
-	if d := p.depot; d != nil {
-		if unit, ok := d.ExchangeEmpty(); ok {
-			g.stash = unit
-			g.refills++
-			g.exchTotal++
-			g.mergeCounters()
-			f := g.popStash()
-			g.allocs++
-			if s := p.mgr.san; s != nil {
-				s.verifyReuse(f)
-			}
-			f.resetLive(p.Originator())
-			return f, nil
-		}
-	}
-	p.lock()
-	if p.closed {
-		p.unlock()
-		g.mergeCounters()
-		return nil, ErrPathClosed
-	}
-	take := g.cap
-	if take > len(p.free) {
-		take = len(p.free)
-	}
-	if take > 0 {
-		// Move the hot (most recently freed) tail of the shared LIFO
-		// list into the stash; stash pops then reuse hottest-first.
-		g.stash = append(g.stash, p.free[len(p.free)-take:]...)
-		p.free = p.free[:len(p.free)-take]
+	if unit, ok := g.depot.ExchangeEmpty(); ok {
+		g.stash = unit
 		g.refills++
-	}
-	p.unlock()
-	g.mergeCounters()
-	if len(g.stash) > 0 {
-		f := g.popStash()
-		g.allocs++
-		if s := p.mgr.san; s != nil {
-			s.verifyReuse(f)
+		g.exchTotal++
+	} else {
+		p.lock()
+		if p.closed {
+			p.unlock()
+			g.mergeCounters()
+			return nil, ErrPathClosed
 		}
-		f.resetLive(p.Originator())
-		return f, nil
+		if take := min(g.cap, len(p.free)); take > 0 {
+			// Stash pops then reuse the most recently freed first.
+			g.stash = append(g.stash, p.free[len(p.free)-take:]...)
+			p.free = p.free[:len(p.free)-take]
+			g.refills++
+		}
+		p.unlock()
 	}
-	// Shared list dry: pay the full allocation path.
-	return p.Alloc()
+	g.mergeCounters()
+	if len(g.stash) == 0 {
+		// Shared list dry: pay the full allocation path.
+		return p.Alloc()
+	}
+	return g.take(), nil
 }
 
 // Free returns an fbuf to the magazine. The fast path — the canonical
@@ -170,8 +157,8 @@ func (g *Magazine) Alloc() (*Fbuf, error) {
 // unsecured fbuf of this path — pushes the private stash with zero shared
 // traffic; anything else (transferred refs outstanding, secured, foreign
 // path, uncached) takes the facility's full Free path with its notice
-// machinery. A full stash flushes half back to the shared list under one
-// lock.
+// machinery. A stash that reaches capacity rotates into the previous slot;
+// when both are full the older unit goes to the depot whole.
 func (g *Magazine) Free(f *Fbuf, d *domain.Domain) error {
 	p := g.path
 	m := p.mgr
@@ -185,7 +172,7 @@ func (g *Magazine) Free(f *Fbuf, d *domain.Domain) error {
 			return ErrNotHolder
 		}
 		if len(f.refs) == 1 && f.refs[d.ID] == 1 {
-			f.refs = map[domain.ID]int{}
+			clear(f.refs)
 			f.mu.Unlock()
 			f.total.Store(0)
 			f.setState(StateFree)
@@ -207,22 +194,15 @@ func (g *Magazine) Free(f *Fbuf, d *domain.Domain) error {
 	return m.Free(f, d)
 }
 
-// overflow handles a loaded magazine that just reached capacity. With a
-// depot the full magazine rotates into the previous slot, and when both
-// are full the older unit is exchanged into the depot whole — one
-// constant-time leaf-lock swap. Without a depot, half the stash flushes
-// back to the shared free list item-at-a-time (the PR 4 behavior).
+// overflow handles a loaded magazine that just reached capacity: it rotates
+// into the previous slot, and when both are full the older unit is
+// exchanged into the depot whole — one constant-time leaf-lock swap.
 func (g *Magazine) overflow() {
-	d := g.path.depot
-	if d == nil {
-		g.flush(g.cap / 2)
-		return
-	}
 	if len(g.prev) == 0 {
 		g.stash, g.prev = g.prev, g.stash
 		return
 	}
-	d.ExchangeFull(g.prev)
+	g.depot.ExchangeFull(g.prev)
 	g.prev = g.stash
 	g.stash = nil
 	g.flushes++
@@ -230,34 +210,26 @@ func (g *Magazine) overflow() {
 	g.mergeCounters()
 }
 
-// Drain flushes the entire local inventory (loaded + previous) and all
-// deferred counters back to the shared path state. Call at worker exit and
-// before ClosePath or CheckInvariants — the facility's invariants only see
-// drained magazines.
+// Drain returns the entire local inventory (loaded + previous) to the
+// shared free list and merges all deferred counters, under one lock
+// acquisition. Call at worker exit and before ClosePath or CheckInvariants
+// — the facility's invariants only see drained magazines. On a closed path
+// the inventory is torn down through the normal recycle machinery instead.
 func (g *Magazine) Drain() {
 	if len(g.prev) > 0 {
-		// Previous holds the older buffers: flush it first so the shared
-		// list receives oldest-first, like a plain flush of one stash.
+		// Previous holds the older buffers: the shared list receives them
+		// first, oldest-first like one stash.
 		g.stash = append(g.prev, g.stash...)
 		g.prev = nil
 	}
-	g.flush(len(g.stash))
-}
-
-// flush returns the n oldest stashed fbufs to the shared free list (keeping
-// the hot end local) and merges the deferred counters, all under one lock
-// acquisition. On a closed path the stash is torn down through the normal
-// recycle machinery instead.
-func (g *Magazine) flush(n int) {
+	stash := g.stash
+	g.stash = g.stash[:0]
 	p := g.path
 	p.lock()
 	if p.closed {
-		// Path closed with fbufs stashed: tear them down like free-listed
-		// buffers of a closed path. Recycles were already counted when
-		// the buffers entered the stash, so hand the teardown machinery
-		// raw buffers without re-counting.
-		stash := g.stash
-		g.stash = g.stash[:0]
+		// Recycles were already counted when the buffers entered the
+		// stash, so hand the teardown machinery raw buffers without
+		// re-counting.
 		g.mergeCounters()
 		p.unlock()
 		for _, f := range stash {
@@ -265,18 +237,14 @@ func (g *Magazine) flush(n int) {
 		}
 		return
 	}
-	if n > len(g.stash) {
-		n = len(g.stash)
-	}
-	if n > 0 {
-		p.free = append(p.free, g.stash[:n]...)
-		g.stash = append(g.stash[:0], g.stash[n:]...)
+	if len(stash) > 0 {
+		p.free = append(p.free, stash...)
 		g.flushes++
 	}
 	depth := len(p.free)
 	g.mergeCounters()
 	p.unlock()
-	if o := p.mgr.Sys.Obs; o != nil && n > 0 {
+	if o := p.mgr.Sys.Obs; o != nil && len(stash) > 0 {
 		p.ensureMetrics(o)
 		p.depthGauge.Set(int64(depth))
 	}
@@ -322,7 +290,7 @@ func (m *Manager) teardownStashed(f *Fbuf) {
 		}
 	}
 	m.releaseFrames(f)
-	f.refs = map[domain.ID]int{}
+	clear(f.refs)
 	f.mu.Unlock()
 	f.setState(StateFree)
 	f.total.Store(0)

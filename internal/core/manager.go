@@ -348,7 +348,7 @@ func (m *Manager) PublishMetrics(reg *obs.Registry) {
 	reg.Counter("smp.epoch_retires").Set(c.EpochRetires)
 	for _, p := range m.paths {
 		reg.Gauge(p.metricPrefix() + "free_depth").Set(int64(p.FreeListLen()))
-		if d := p.depot; d != nil {
+		if d := p.depot.Load(); d != nil {
 			reg.Gauge(p.metricPrefix() + "depot_inventory").Set(int64(d.Inventory()))
 			for i, ss := range d.ShardStats() {
 				pre := fmt.Sprintf("%sdepot_shard.%d.", p.metricPrefix(), i)

@@ -70,6 +70,12 @@ func TestParallelMagazineAllocFree(t *testing.T) {
 			t.Fatalf("worker %d: %v", i, err)
 		}
 	}
+	// Every worker's magazine fronts the one depot the first of them
+	// installed, and after Drain the free list plus that depot account
+	// for every free fbuf.
+	if p.Depot() == nil {
+		t.Fatal("magazines created on a fresh path installed no depot")
+	}
 	checkSan()
 	r.check(t)
 
@@ -224,11 +230,13 @@ func TestParallelCrossPath(t *testing.T) {
 	r.check(t)
 }
 
-// TestMagazineCounters pins the deferred-counter semantics single-threaded:
-// hits are stash pops, misses are Alloc calls that found the stash empty
-// (whether or not the refill found anything), refills and flushes count
-// only operations that actually moved buffers, and locals merge into the
-// shared Contention group on every miss, flush, and Drain.
+// TestMagazineCounters pins the allocator ladder and its deferred counters
+// single-threaded: hits are stash pops, misses are Alloc calls that found
+// both magazines empty (whether or not the refill found anything), a full
+// stash rotates into prev and only a second full one reaches the depot,
+// refills and flushes count only operations that actually moved buffers,
+// and locals merge into the shared Contention group on every miss,
+// exchange, and Drain.
 func TestMagazineCounters(t *testing.T) {
 	r := newRig(t)
 	r.mgr.EnableSanitizer()
@@ -270,7 +278,8 @@ func TestMagazineCounters(t *testing.T) {
 	}
 
 	// Seed the shared free list with four buffers, empty the stash, and
-	// miss again: one refill moves the whole hot tail (up to cap).
+	// miss again: the depot is dry, so one refill moves the whole hot tail
+	// of the free list (up to cap).
 	seed := make([]*Fbuf, 4)
 	for i := range seed {
 		if seed[i], err = p.Alloc(); err != nil {
@@ -297,33 +306,50 @@ func TestMagazineCounters(t *testing.T) {
 		t.Fatalf("after refill: %+v", cont)
 	}
 
-	// Fill the stash to capacity: the push that reaches cap flushes half
-	// (the oldest end) back to the shared list under one lock.
-	if err := mag.Free(a, r.src); err != nil { // push to 4 == cap: flush 2
+	// Fill the stash to capacity: the push that reaches cap rotates the
+	// loaded magazine into prev, locally — no flush, no exchange.
+	if err := mag.Free(a, r.src); err != nil { // push to 4 == cap: rotate
 		t.Fatal(err)
 	}
-	if mag.Depth() != 2 {
-		t.Fatalf("Depth after flush = %d, want 2", mag.Depth())
+	if mag.Depth() != 4 {
+		t.Fatalf("Depth after rotation = %d, want 4", mag.Depth())
 	}
 	cont = r.mgr.ContentionSnapshot()
-	if cont.MagazineFlushes != 1 {
-		t.Fatalf("MagazineFlushes = %d, want 1", cont.MagazineFlushes)
-	}
-	if err := mag.Free(b, r.src); err != nil { // push to 3 < cap: no flush
-		t.Fatal(err)
-	}
-	if mag.Depth() != 3 {
-		t.Fatalf("Depth = %d, want 3", mag.Depth())
-	}
-	if cont = r.mgr.ContentionSnapshot(); cont.MagazineFlushes != 1 {
-		t.Fatalf("MagazineFlushes = %d after non-flushing push, want 1", cont.MagazineFlushes)
+	if cont.MagazineFlushes != 0 || cont.DepotExchanges != 0 || mag.ExchangeCount() != 0 {
+		t.Fatalf("rotation reached shared state: %+v", cont)
 	}
 
-	// Drain returns everything and merges the remaining locals; the
-	// facility's books must balance afterwards.
+	// Fill the loaded magazine again while prev is full: exactly one
+	// whole-unit ExchangeFull moves prev into the depot.
+	more := []*Fbuf{b}
+	for i := 0; i < 3; i++ {
+		f, err := p.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		more = append(more, f)
+	}
+	for _, f := range more {
+		if err := mag.Free(f, r.src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if mag.Depth() != 4 {
+		t.Fatalf("Depth after exchange = %d, want 4", mag.Depth())
+	}
+	cont = r.mgr.ContentionSnapshot()
+	if cont.DepotExchanges != 1 || cont.MagazineFlushes != 1 || mag.ExchangeCount() != 1 {
+		t.Fatalf("after both full: %+v, ExchangeCount %d; want one exchange", cont, mag.ExchangeCount())
+	}
+	if inv := p.Depot().Inventory(); inv != 4 {
+		t.Fatalf("depot inventory = %d, want the 4-fbuf unit", inv)
+	}
+
+	// Drain empties both magazines onto the shared list and merges the
+	// remaining locals; the facility's books must balance afterwards.
 	mag.Drain()
-	if mag.Depth() != 0 {
-		t.Fatalf("Depth after Drain = %d, want 0", mag.Depth())
+	if mag.Depth() != 0 || p.FreeListLen() != 4 {
+		t.Fatalf("after Drain: Depth = %d, free list %d; want 0, 4", mag.Depth(), p.FreeListLen())
 	}
 	if hits, misses, refills, flushes = mag.LocalStats(); hits+misses+refills+flushes != 0 {
 		t.Fatalf("LocalStats after Drain = %d,%d,%d,%d, want zeros", hits, misses, refills, flushes)
@@ -382,5 +408,45 @@ func TestMagazineFallbacks(t *testing.T) {
 
 	mag.Drain()
 	umag.Drain()
+	r.check(t)
+}
+
+// TestSteadyStateAllocFreeZeroAllocs pins the recycled fbuf's reference map
+// being reset in place: once warm, neither a magazine Alloc/Free pair nor a
+// DataPath.Alloc/Manager.Free pair allocates on the Go heap.
+func TestSteadyStateAllocFreeZeroAllocs(t *testing.T) {
+	if sanitizerDefault {
+		t.Skip("fbsan forced on via build tag or FBSAN=1: its poison table allocates")
+	}
+	r := newRig(t)
+	p := r.path(t, CachedVolatile(), 1)
+	mag := p.NewMagazine(0)
+	pairs := map[string]func(){
+		"Magazine": func() {
+			f, err := mag.Alloc()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := mag.Free(f, r.src); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"DataPath": func() {
+			f, err := p.Alloc()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.mgr.Free(f, r.src); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for name, pair := range pairs {
+		pair() // warm: carve the fbuf and its reference map
+		if n := testing.AllocsPerRun(100, pair); n != 0 {
+			t.Errorf("%s Alloc/Free pair: %v allocs, want 0", name, n)
+		}
+	}
+	mag.Drain()
 	r.check(t)
 }

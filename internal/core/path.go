@@ -43,11 +43,11 @@ type DataPath struct {
 	free   []*Fbuf // LIFO: most recently freed first (most likely resident)
 	chunks []*chunk
 
-	// depot, when non-nil, is the central magazine depot between this
-	// path's free list and its workers' magazines (depot.go). Control-plane:
-	// installed by EnableDepot before workers start; nil keeps the PR 4
-	// item-at-a-time magazine behavior bit-identical.
-	depot *Depot
+	// depot is the central magazine depot between this path's free list
+	// and its workers' magazines (depot.go), nil until the first
+	// EnableDepot or NewMagazine installs it. Atomic because workers may
+	// create their magazines concurrently on a fresh path.
+	depot atomic.Pointer[Depot]
 
 	// quota is the chunk limit (0 = manager default, negative = unlimited).
 	// Atomic because SetQuota is a kernel control knob callers may turn
@@ -414,7 +414,7 @@ func (p *DataPath) carveLocked() (*Fbuf, error) {
 			// Partial population (physical memory exhausted): release
 			// what was attached rather than leaking a live fbuf.
 			f.mu.Lock()
-			f.refs = map[domain.ID]int{}
+			clear(f.refs)
 			f.mu.Unlock()
 			f.total.Store(0)
 			m.recycle(f)
@@ -596,7 +596,7 @@ func (m *Manager) AllocUncachedFill(orig *domain.Domain, pages int, opts Options
 	if opts.Populate {
 		if err := m.populateFill(f, fill); err != nil {
 			f.mu.Lock()
-			f.refs = map[domain.ID]int{}
+			clear(f.refs)
 			f.mu.Unlock()
 			f.total.Store(0)
 			m.recycle(f)
@@ -1030,7 +1030,7 @@ func (m *Manager) teardown(f *Fbuf) {
 		}
 	}
 	m.releaseFrames(f)
-	f.refs = map[domain.ID]int{}
+	clear(f.refs)
 	f.mu.Unlock()
 	f.setState(StateFree)
 	f.total.Store(0)
@@ -1058,7 +1058,7 @@ func (m *Manager) resetForFreeList(f *Fbuf) {
 	}
 	f.setState(StateFree)
 	f.mu.Lock()
-	f.refs = map[domain.ID]int{}
+	clear(f.refs)
 	f.mu.Unlock()
 	f.total.Store(0)
 }
@@ -1281,7 +1281,7 @@ func (m *Manager) ClosePath(p *DataPath) {
 	// Depot inventory is free-listed state too: tear it down the same way.
 	// Closing the depot makes a stranded in-flight magazine exchange tear
 	// its unit down instead of parking it in a dead depot.
-	if d := p.depot; d != nil {
+	if d := p.depot.Load(); d != nil {
 		for _, f := range d.close() {
 			m.recycle(f)
 		}

@@ -165,7 +165,7 @@ func (m *Manager) EvictPath(p *DataPath) int {
 	freeList := p.free
 	p.free = nil
 	p.unlock()
-	if d := p.depot; d != nil {
+	if d := p.depot.Load(); d != nil {
 		freeList = append(freeList, d.drain()...)
 	}
 	for _, f := range freeList {
